@@ -1,28 +1,39 @@
 """Distributed GD (Algorithm 1) on Spark DataFrames.
 
-The iterate ``x`` lives as a DataFrame ``[id, w_0.., x, x_prev, fixed]``.
-One GD iteration costs:
+The iterate ``x`` lives as a DataFrame ``[id, w_0.., x, x_prev, fixed]``,
+hash-partitioned by ``id`` into ``P`` partitions, ``P`` being the session's
+default parallelism. The symmetrized edge list is cached once, hash-
+partitioned by ``src`` into the same ``P``, so the gradient join never moves
+an edge: GraphX's co-partitioned edge and vertex tables (Gonzalez et al.,
+OSDI'14). One GD iteration costs:
 
-1. one shuffle join + groupBy-sum computing the gradient
-   ``(Az)_i = Σ_{j∈N(i)} z_j`` over the symmetrized edge list,
-2. one multi-scalar aggregation producing every quantity the driver needs
-   (``⟨w_j, x⟩``, ``⟨w_j, grad⟩_free``, the free Gram matrix ``D``,
-   ``‖grad‖²_free`` and the previous step length), and
-3. one narrow map applying the gradient step, the sequential balance
-   projection ``x ← [x + γ·grad − Σ_j λ_j w_j]`` and vertex fixing.
+1. one pass that computes the gradient ``(Az)_i = Σ_{j∈N(i)} z_j`` with a
+   partition-local join of edges and iterate plus map-side partial sums,
+   shuffles only those partial sums by destination into the same ``P``
+   partitions, joins the gradient to the iterate without another exchange
+   and materializes ``[state, grad]`` with ``localCheckpoint(eager=True)``;
+2. one multi-scalar aggregation over that checkpoint producing every quantity
+   the driver needs (``⟨w_j, x⟩``, ``⟨w_j, grad⟩_free``, the free Gram matrix
+   ``D``, ``‖grad‖²_free`` and the previous step length); and
+3. the driver-side λ solve, after which the gradient step, the sequential
+   balance projection ``x ← [x + γ·grad − Σ_j λ_j w_j]`` and vertex fixing
+   form one lazy ``select`` that runs inside the next iteration's pass 1.
 
-Lineage is truncated every iteration with ``localCheckpoint(eager=True)``
-(the idiomatic Spark pattern for iterative algorithms — without it the plan
-grows exponentially). Only O(d²) scalars ever reach the driver per iteration,
-matching the paper's distributed model (Theorem 1.1); the final rounding
-collects the fractional vector, which is the same O(n) driver pass the paper
-performs centrally for the projection's λ-search.
+That is two Spark jobs (``3P + 1`` tasks) per iteration, and one table
+written. The checkpoint truncates lineage (the idiomatic Spark pattern for
+iterative algorithms — without it the plan grows exponentially). Only O(d²)
+scalars ever reach the driver per iteration, matching the paper's
+distributed model (Theorem 1.1); the final rounding collects the fractional
+vector, which is the same O(n) driver pass the paper performs centrally for
+the projection's λ-search.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core.params import GDParams
@@ -37,6 +48,28 @@ def _weight_cols(vertices: DataFrame) -> list[str]:
     return cols
 
 
+@contextmanager
+def _co_partitioned(spark: SparkSession, parts: int):
+    """Run the loop's queries with adaptive execution off and ``parts``
+    shuffle partitions, restoring the session's values on exit.
+
+    A checkpoint of an adaptive plan does not keep its output partitioning,
+    so with AQE on every join would re-shuffle the iterate; and the gradient
+    groupBy must shuffle into the iterate's ``parts`` partitions for the
+    ``state ⋈ grad`` join to need no exchange. Other queries run on the same
+    session while the loop runs see these values too.
+    """
+    conf = {"spark.sql.adaptive.enabled": "false", "spark.sql.shuffle.partitions": str(parts)}
+    saved = {key: spark.conf.get(key) for key in conf}
+    for key, value in conf.items():
+        spark.conf.set(key, value)
+    try:
+        yield
+    finally:
+        for key, value in saved.items():
+            spark.conf.set(key, value)
+
+
 def gd_relax_spark(
     edges: DataFrame,
     vertices: DataFrame,
@@ -47,17 +80,27 @@ def gd_relax_spark(
 
     ``x0`` (pandas ``[id, x]``) overrides the zero start — used by tests to
     cross-check against the numpy reference without sampling noise twice.
+    Only the one-shot projection is distributed and no history is recorded;
+    other settings raise ``ValueError`` (``gd_relax_local`` runs them).
     """
+    if params.projection != "one_shot":
+        raise ValueError(
+            f"the Spark engine runs only the one_shot projection, not {params.projection!r}"
+        )
+    if params.record_history:
+        raise ValueError("the Spark engine does not record history")
     spark = edges.sparkSession
     wcols = _weight_cols(vertices)
     d = len(wcols)
+    parts = spark.sparkContext.defaultParallelism
 
-    sym = symmetrize(edges).cache()
     totals = vertices.agg(*[F.sum(c).alias(c) for c in wcols]).collect()[0]
     b = params.eps * np.array([float(totals[c]) for c in wcols])
     n = vertices.count()
     target_len = params.step_mult * np.sqrt(n) / params.n_iter
 
+    # The start state (its noise in particular) is drawn on the vertex
+    # table's own layout, under the caller's session settings.
     state = vertices.select("id", *wcols)
     if x0 is not None:
         state = state.join(
@@ -73,78 +116,74 @@ def gd_relax_spark(
         .localCheckpoint(eager=True)
     )
 
-    gamma: float | None = None
     free = ~F.col("fixed")
-    for t in range(params.n_iter):
-        grad = (
-            sym.join(state.select(F.col("id").alias("src"), "x"), "src")
-            .groupBy(F.col("dst").alias("id"))
-            .agg(F.sum("x").alias("grad"))
+    aggs = []
+    for j, cj in enumerate(wcols):
+        aggs.append(F.sum(F.col(cj) * F.col("x")).alias(f"a_{j}"))
+        aggs.append(
+            F.sum(F.when(free, F.col(cj) * F.col("grad")).otherwise(0.0)).alias(f"g_{j}")
         )
-        cur = (
-            state.join(grad, "id", "left")
-            .withColumn("grad", F.coalesce(F.col("grad"), F.lit(0.0)))
-            .cache()
-        )
-        aggs = []
-        for j, cj in enumerate(wcols):
-            aggs.append(F.sum(F.col(cj) * F.col("x")).alias(f"a_{j}"))
+        for l in range(j, d):
             aggs.append(
-                F.sum(F.when(free, F.col(cj) * F.col("grad")).otherwise(0.0)).alias(f"g_{j}")
-            )
-            for l in range(j, d):
-                aggs.append(
-                    F.sum(F.when(free, F.col(cj) * F.col(wcols[l])).otherwise(0.0)).alias(
-                        f"D_{j}_{l}"
-                    )
+                F.sum(F.when(free, F.col(cj) * F.col(wcols[l])).otherwise(0.0)).alias(
+                    f"D_{j}_{l}"
                 )
-        aggs.append(F.sum(F.when(free, F.col("grad") ** 2).otherwise(0.0)).alias("gn2"))
-        aggs.append(F.sum((F.col("x") - F.col("x_prev")) ** 2).alias("prog2"))
-        row = cur.agg(*aggs).collect()[0]
+            )
+    aggs.append(F.sum(F.when(free, F.col("grad") ** 2).otherwise(0.0)).alias("gn2"))
+    aggs.append(F.sum((F.col("x") - F.col("x_prev")) ** 2).alias("prog2"))
 
-        prev_step = float(np.sqrt(max(row["prog2"], 0.0)))
-        if not params.adaptive or gamma is None:
-            # Fixed step length: renormalize against the current gradient.
-            gamma = target_len / max(float(np.sqrt(max(row["gn2"], 0.0))), 1e-12)
-        elif prev_step > 1e-12:
-            gamma *= float(np.clip(target_len / prev_step, 0.5, 2.0))
+    gamma: float | None = None
+    with _co_partitioned(spark, parts):
+        state = state.repartition(parts, "id")
+        sym = symmetrize(edges).repartition(parts, "src").cache()
+        for t in range(params.n_iter):
+            grad = (
+                sym.join(state.select(F.col("id").alias("src"), "x"), "src")
+                .groupBy(F.col("dst").alias("id"))
+                .agg(F.sum("x").alias("grad"))
+            )
+            cur = (
+                state.join(grad, "id", "left")
+                .withColumn("grad", F.coalesce(F.col("grad"), F.lit(0.0)))
+                .localCheckpoint(eager=True)
+            )
+            row = cur.agg(*aggs).collect()[0]
 
-        a = np.array([float(row[f"a_{j}"]) for j in range(d)])
-        g = np.array([float(row[f"g_{j}"]) for j in range(d)])
-        D = np.zeros((d, d))
-        for j in range(d):
-            for l in range(j, d):
-                D[j, l] = D[l, j] = float(row[f"D_{j}_{l}"])
-        s = a + gamma * g
-        lam = sequential_lambdas(s, D, b, params.projection_target)
+            prev_step = float(np.sqrt(max(row["prog2"], 0.0)))
+            if not params.adaptive or gamma is None:
+                # Fixed step length: renormalize against the current gradient.
+                gamma = target_len / max(float(np.sqrt(max(row["gn2"], 0.0))), 1e-12)
+            elif prev_step > 1e-12:
+                gamma *= float(np.clip(target_len / prev_step, 0.5, 2.0))
 
-        shift = F.lit(gamma) * F.col("grad")
-        for j, cj in enumerate(wcols):
-            shift = shift - F.lit(float(lam[j])) * F.col(cj)
-        x_new = F.when(
-            free, F.greatest(F.lit(-1.0), F.least(F.lit(1.0), F.col("x") + shift))
-        ).otherwise(F.col("x"))
+            a = np.array([float(row[f"a_{j}"]) for j in range(d)])
+            g = np.array([float(row[f"g_{j}"]) for j in range(d)])
+            D = np.zeros((d, d))
+            for j in range(d):
+                for l in range(j, d):
+                    D[j, l] = D[l, j] = float(row[f"D_{j}_{l}"])
+            s = a + gamma * g
+            lam = sequential_lambdas(s, D, b, params.projection_target)
 
-        upd = cur.withColumn("x_next", x_new)
-        if params.fixing and t >= params.fix_start:
-            newly = free & (F.abs(F.col("x_next")) >= params.fix_threshold)
-            upd = upd.withColumn(
-                "x_next",
-                F.when(newly, F.signum(F.col("x_next"))).otherwise(F.col("x_next")),
-            ).withColumn("fixed", F.col("fixed") | newly)
-        new_state = upd.select(
-            "id",
-            *wcols,
-            F.col("x_next").alias("x"),
-            F.col("x").alias("x_prev"),
-            "fixed",
-        ).localCheckpoint(eager=True)
-        cur.unpersist()
-        state = new_state
+            shift = F.lit(gamma) * F.col("grad")
+            for j, cj in enumerate(wcols):
+                shift = shift - F.lit(float(lam[j])) * F.col(cj)
+            x_next = F.when(
+                free, F.greatest(F.lit(-1.0), F.least(F.lit(1.0), F.col("x") + shift))
+            ).otherwise(F.col("x"))
+            fixed = F.col("fixed")
+            if params.fixing and t >= params.fix_start:
+                newly = free & (F.abs(x_next) >= params.fix_threshold)
+                x_next = F.when(newly, F.signum(x_next)).otherwise(x_next)
+                fixed = fixed | newly
+            state = cur.select(
+                "id", *wcols, x_next.alias("x"), F.col("x").alias("x_prev"), fixed.alias("fixed")
+            )
 
-    if params.final_project:
-        state = _final_alternating(state, wcols, b, params)
-    sym.unpersist()
+        state = state.localCheckpoint(eager=True)
+        if params.final_project:
+            state = _final_alternating(state, wcols, b, params)
+        sym.unpersist()
     return state.select("id", *wcols, "x", "fixed")
 
 

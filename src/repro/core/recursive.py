@@ -2,8 +2,8 @@
 
 The graph is bisected ``⌈log₂ k⌉`` times; part ids are bit-prefixes of the
 recursion path. Per-level tolerance is ``eps / levels`` so the compounded
-imbalance stays within ``eps`` (the paper only evaluates powers of two; we
-assert that).
+imbalance stays within ``eps`` (the paper only evaluates powers of two; any
+other ``k`` raises ``ValueError``).
 
 Weights are computed **once** on the full graph and carried down: balancing
 sub-partitions on *original* degrees is what equalizes worker load, since a
@@ -25,6 +25,11 @@ from repro.core.gd import gd_bipartition_spark
 from repro.core.local_gd import gd_bipartition_local
 from repro.core.params import GDParams
 from repro.graphs.ops import induced_edges
+
+
+def _check_k(k: int) -> None:
+    if k < 1 or k & (k - 1):
+        raise ValueError(f"k must be a power of two (paper §3.3), got {k}")
 
 
 def _level_params(params: GDParams, levels: int, path: int) -> GDParams:
@@ -54,10 +59,10 @@ def partition_k_local(
     _path: int = 0,
 ) -> np.ndarray:
     """Recursive GD on numpy; ``edges`` over ids 0..n-1, returns parts 0..k-1."""
+    _check_k(k)
     n = W.shape[0]
     if k == 1:
         return np.zeros(n, dtype=np.int64)
-    assert k & (k - 1) == 0, "k must be a power of two (paper §3.3)"
     levels = int(np.log2(k)) if _levels is None else _levels
     halves, _ = gd_bipartition_local(edges, W, _level_params(params, levels, _path))
 
@@ -88,11 +93,11 @@ def partition_k_spark(
 
     Returns an assignment DataFrame ``[id, part]`` with parts 0..k-1.
     """
+    _check_k(k)
     spark = edges.sparkSession
     wcols = sorted(c for c in vertices.columns if c.startswith("w_"))
     if k == 1:
         return vertices.select("id", F.lit(0).cast("long").alias("part"))
-    assert k & (k - 1) == 0, "k must be a power of two (paper §3.3)"
     levels = int(np.log2(k)) if _levels is None else _levels
 
     if spark_levels <= 0:

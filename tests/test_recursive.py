@@ -55,8 +55,24 @@ def test_local_k1_trivial(graph4):
 def test_local_k_must_be_power_of_two(graph4):
     spec, edges = graph4
     W = _weights(edges, spec.n)
-    with pytest.raises(AssertionError, match="power of two"):
+    with pytest.raises(ValueError, match="power of two"):
         partition_k_local(edges, W, 3, GDParams(n_iter=2))
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_local_k_rejected(graph4, k):
+    spec, edges = graph4
+    W = _weights(edges, spec.n)
+    with pytest.raises(ValueError, match="power of two"):
+        partition_k_local(edges, W, k, GDParams(n_iter=2))
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_spark_k_rejected(graph4, spark, k):
+    spec, edges = graph4
+    sdf = gen.to_spark(spark, edges)
+    with pytest.raises(ValueError, match="power of two"):
+        partition_k_spark(sdf, vertex_table(sdf), k, GDParams(n_iter=2))
 
 
 def test_local_k_deterministic(graph4):

@@ -85,7 +85,64 @@ def test_spark_gd_noise_seed_deterministic(graph):
     p = GDParams(n_iter=3, seed=9, final_project=False)
     a = gd_relax_spark(sdf, vt, p).select("id", "x").toPandas().sort_values("id")
     b = gd_relax_spark(sdf, vt, p).select("id", "x").toPandas().sort_values("id")
-    assert np.allclose(a["x"].to_numpy(), b["x"].to_numpy())
+    assert np.array_equal(a["x"].to_numpy(), b["x"].to_numpy())
+
+
+def _tasks_and_x(spark, sdf, vt, params, x0_df, group):
+    """Tasks run by one relaxation (each stage counted once) and its ``x``.
+
+    A stage the tracker no longer holds ran no tasks: once the retention
+    limit is reached, skipped stages, which never complete, go first."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        x = gd_relax_spark(sdf, vt, params, x0=x0_df).select("id", "x").toPandas()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    st = sc.statusTracker()
+    stages = {s for j in st.getJobIdsForGroup(group) for s in st.getJobInfo(j).stageIds}
+    tasks = sum(info.numCompletedTasks for info in map(st.getStageInfo, stages) if info)
+    return tasks, x.sort_values("id")["x"].to_numpy()
+
+
+def test_spark_gd_iteration_independent_of_shuffle_partitions(graph, spark):
+    """An iteration's plan is fixed by the co-partitioned tables, not by
+    ``spark.sql.shuffle.partitions``: the same tasks per iteration (I=6 run
+    minus I=2 run) and the same ``x`` bit for bit under 64 and 8."""
+    spec, _, sdf, vt = graph
+    x0 = np.random.default_rng(5).uniform(-0.05, 0.05, spec.n)
+    x0_df = pd.DataFrame({"id": np.arange(spec.n), "x": x0})
+    saved = spark.conf.get("spark.sql.shuffle.partitions")
+    aqe = spark.conf.get("spark.sql.adaptive.enabled")
+    per_iter, xs = {}, {}
+    try:
+        for shuffle in (64, 8):
+            spark.conf.set("spark.sql.shuffle.partitions", str(shuffle))
+            runs = {}
+            for n_iter in (6, 2):
+                p = GDParams(n_iter=n_iter, final_project=False, fixing=False, seed=0)
+                runs[n_iter] = _tasks_and_x(spark, sdf, vt, p, x0_df, f"gd-{shuffle}-{n_iter}")
+            per_iter[shuffle] = (runs[6][0] - runs[2][0]) / 4
+            xs[shuffle] = runs[6][1]
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", saved)
+    assert spark.conf.get("spark.sql.adaptive.enabled") == aqe
+    parts = spark.sparkContext.defaultParallelism
+    assert per_iter[64] == per_iter[8] <= 3 * parts + 1
+    assert np.array_equal(xs[64], xs[8])
+
+
+@pytest.mark.parametrize("method", ["alternating", "dykstra", "exact"])
+def test_spark_gd_rejects_other_projections(graph, method):
+    _, _, sdf, vt = graph
+    with pytest.raises(ValueError, match="one_shot"):
+        gd_relax_spark(sdf, vt, GDParams(n_iter=1, projection=method))
+
+
+def test_spark_gd_rejects_record_history(graph):
+    _, _, sdf, vt = graph
+    with pytest.raises(ValueError, match="history"):
+        gd_relax_spark(sdf, vt, GDParams(n_iter=1, record_history=True))
 
 
 def test_spark_gd_requires_weight_columns(graph, spark):
