@@ -36,8 +36,9 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.params import GDParams
+from repro.core.params import FINAL_PROJECT_ITERS, FIX_THRESHOLD, NOISE_SIGMA_MULT, GDParams
 from repro.core.projection_spark import sequential_lambdas
+from repro.core.rounding import round_to_parts
 from repro.graphs.ops import symmetrize
 
 
@@ -46,6 +47,42 @@ def _weight_cols(vertices: DataFrame) -> list[str]:
     if not cols:
         raise ValueError("vertex table has no weight columns w_0..w_{d-1}")
     return cols
+
+
+def _balance_aggs(wcols: list[str]) -> list:
+    """Aggregates ``a_j = ⟨w_j, x⟩`` (all coordinates) and the free Gram
+    matrix ``D_jl = Σ_free w_j w_l`` (upper triangle) of the balance projection."""
+    free = ~F.col("fixed")
+    aggs = []
+    for j, cj in enumerate(wcols):
+        aggs.append(F.sum(F.col(cj) * F.col("x")).alias(f"a_{j}"))
+        for l in range(j, len(wcols)):
+            aggs.append(
+                F.sum(F.when(free, F.col(cj) * F.col(wcols[l])).otherwise(0.0)).alias(
+                    f"D_{j}_{l}"
+                )
+            )
+    return aggs
+
+
+def _balance_scalars(row, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, D)`` from a row of ``_balance_aggs``, ``D`` filled symmetrically."""
+    a = np.array([float(row[f"a_{j}"]) for j in range(d)])
+    D = np.zeros((d, d))
+    for j in range(d):
+        for l in range(j, d):
+            D[j, l] = D[l, j] = float(row[f"D_{j}_{l}"])
+    return a, D
+
+
+def _projected_x(shift, lam: np.ndarray, wcols: list[str]):
+    """Next ``x``: free coordinates move to ``[x + shift − Σ_j λ_j w_j]``
+    (clipped to [-1, 1]), fixed ones stay."""
+    for j, cj in enumerate(wcols):
+        shift = shift - F.lit(float(lam[j])) * F.col(cj)
+    return F.when(
+        ~F.col("fixed"), F.greatest(F.lit(-1.0), F.least(F.lit(1.0), F.col("x") + shift))
+    ).otherwise(F.col("x"))
 
 
 @contextmanager
@@ -108,7 +145,7 @@ def gd_relax_spark(
         ).withColumn("x", F.coalesce(F.col("x"), F.lit(0.0)))
     else:
         # Noise at t=0 only (§3.2): x^(0)=0 plus Gaussian noise.
-        sigma = params.noise_sigma_mult / params.n_iter
+        sigma = NOISE_SIGMA_MULT / params.n_iter
         state = state.withColumn("x", F.randn(params.seed) * F.lit(sigma))
     state = (
         state.withColumn("x_prev", F.col("x"))
@@ -117,18 +154,10 @@ def gd_relax_spark(
     )
 
     free = ~F.col("fixed")
-    aggs = []
-    for j, cj in enumerate(wcols):
-        aggs.append(F.sum(F.col(cj) * F.col("x")).alias(f"a_{j}"))
-        aggs.append(
-            F.sum(F.when(free, F.col(cj) * F.col("grad")).otherwise(0.0)).alias(f"g_{j}")
-        )
-        for l in range(j, d):
-            aggs.append(
-                F.sum(F.when(free, F.col(cj) * F.col(wcols[l])).otherwise(0.0)).alias(
-                    f"D_{j}_{l}"
-                )
-            )
+    aggs = _balance_aggs(wcols) + [
+        F.sum(F.when(free, F.col(cj) * F.col("grad")).otherwise(0.0)).alias(f"g_{j}")
+        for j, cj in enumerate(wcols)
+    ]
     aggs.append(F.sum(F.when(free, F.col("grad") ** 2).otherwise(0.0)).alias("gn2"))
     aggs.append(F.sum((F.col("x") - F.col("x_prev")) ** 2).alias("prog2"))
 
@@ -149,31 +178,20 @@ def gd_relax_spark(
             )
             row = cur.agg(*aggs).collect()[0]
 
-            prev_step = float(np.sqrt(max(row["prog2"], 0.0)))
-            if not params.adaptive or gamma is None:
-                # Fixed step length: renormalize against the current gradient.
-                gamma = target_len / max(float(np.sqrt(max(row["gn2"], 0.0))), 1e-12)
-            elif prev_step > 1e-12:
-                gamma *= float(np.clip(target_len / prev_step, 0.5, 2.0))
-
-            a = np.array([float(row[f"a_{j}"]) for j in range(d)])
+            gamma = params.next_gamma(
+                gamma,
+                float(np.sqrt(max(row["gn2"], 0.0))),
+                float(np.sqrt(max(row["prog2"], 0.0))),
+                target_len,
+            )
+            a, D = _balance_scalars(row, d)
             g = np.array([float(row[f"g_{j}"]) for j in range(d)])
-            D = np.zeros((d, d))
-            for j in range(d):
-                for l in range(j, d):
-                    D[j, l] = D[l, j] = float(row[f"D_{j}_{l}"])
-            s = a + gamma * g
-            lam = sequential_lambdas(s, D, b, params.projection_target)
+            lam = sequential_lambdas(a + gamma * g, D, b)
 
-            shift = F.lit(gamma) * F.col("grad")
-            for j, cj in enumerate(wcols):
-                shift = shift - F.lit(float(lam[j])) * F.col(cj)
-            x_next = F.when(
-                free, F.greatest(F.lit(-1.0), F.least(F.lit(1.0), F.col("x") + shift))
-            ).otherwise(F.col("x"))
+            x_next = _projected_x(F.lit(gamma) * F.col("grad"), lam, wcols)
             fixed = F.col("fixed")
             if params.fixing and t >= params.fix_start:
-                newly = free & (F.abs(x_next) >= params.fix_threshold)
+                newly = free & (F.abs(x_next) >= FIX_THRESHOLD)
                 x_next = F.when(newly, F.signum(x_next)).otherwise(x_next)
                 fixed = fixed | newly
             state = cur.select(
@@ -182,44 +200,23 @@ def gd_relax_spark(
 
         state = state.localCheckpoint(eager=True)
         if params.final_project:
-            state = _final_alternating(state, wcols, b, params)
+            state = _final_alternating(state, wcols, b)
         sym.unpersist()
     return state.select("id", *wcols, "x", "fixed")
 
 
-def _final_alternating(state: DataFrame, wcols: list[str], b: np.ndarray, params: GDParams) -> DataFrame:
+def _final_alternating(state: DataFrame, wcols: list[str], b: np.ndarray) -> DataFrame:
     """Alternating projections (slab target) to convergence before rounding —
     repairs the imbalance accumulated by one-shot projections (§3.1, Fig 9)."""
-    d = len(wcols)
-    free = ~F.col("fixed")
-    tol = 1e-7
-    for _ in range(params.final_project_iters):
-        aggs = []
-        for j, cj in enumerate(wcols):
-            aggs.append(F.sum(F.col(cj) * F.col("x")).alias(f"a_{j}"))
-            for l in range(j, d):
-                aggs.append(
-                    F.sum(F.when(free, F.col(cj) * F.col(wcols[l])).otherwise(0.0)).alias(
-                        f"D_{j}_{l}"
-                    )
-                )
-        row = state.agg(*aggs).collect()[0]
-        s = np.array([float(row[f"a_{j}"]) for j in range(d)])
+    aggs = _balance_aggs(wcols)
+    for _ in range(FINAL_PROJECT_ITERS):
+        s, D = _balance_scalars(state.agg(*aggs).collect()[0], len(wcols))
         if (np.abs(s) <= b + 1e-9 * (1 + np.abs(b))).all():
             break
-        D = np.zeros((d, d))
-        for j in range(d):
-            for l in range(j, d):
-                D[j, l] = D[l, j] = float(row[f"D_{j}_{l}"])
         lam = sequential_lambdas(s, D, b, "slab")
-        if float(np.abs(lam).max(initial=0.0)) < tol:
+        if float(np.abs(lam).max(initial=0.0)) < 1e-7:
             break
-        shift = F.lit(0.0)
-        for j, cj in enumerate(wcols):
-            shift = shift - F.lit(float(lam[j])) * F.col(cj)
-        x_new = F.when(
-            free, F.greatest(F.lit(-1.0), F.least(F.lit(1.0), F.col("x") + shift))
-        ).otherwise(F.col("x"))
+        x_new = _projected_x(F.lit(0.0), lam, wcols)
         state = state.withColumn("x", x_new).localCheckpoint(eager=True)
     return state
 
@@ -236,16 +233,9 @@ def gd_bipartition_spark(
     (an O(n log n) pass, same as the paper's centralized λ-search; see
     DESIGN.md §3).
     """
-    from repro.core.rounding import repair_balance, round_randomized
-
-    spark = edges.sparkSession
     wcols = _weight_cols(vertices)
     frac = gd_relax_spark(edges, vertices, params, x0)
     pdf = frac.select("id", *wcols, "x").toPandas().sort_values("id")
-    x = pdf["x"].to_numpy()
     W = pdf[wcols].to_numpy(dtype=float)
-    rng = np.random.default_rng(params.seed + 1)
-    signs = round_randomized(x, rng)
-    signs = repair_balance(signs, x, W, params.eps)
-    out = pd.DataFrame({"id": pdf["id"].to_numpy(), "part": ((signs + 1) // 2).astype("int64")})
-    return spark.createDataFrame(out)
+    parts = round_to_parts(pdf["x"].to_numpy(), W, params.eps, params.seed)
+    return edges.sparkSession.createDataFrame(pd.DataFrame({"id": pdf["id"].to_numpy(), "part": parts}))

@@ -17,7 +17,10 @@ import numpy as np
 import pandas as pd
 
 from repro.core import projection_np as P
-from repro.core.params import GDHistory, GDParams
+from repro.core.params import (
+    FINAL_PROJECT_ITERS, FIX_THRESHOLD, NOISE_SIGMA_MULT, GDHistory, GDParams,
+)
+from repro.core.rounding import round_to_parts
 
 
 def _symmetric_arrays(edges: pd.DataFrame) -> tuple[np.ndarray, np.ndarray]:
@@ -34,11 +37,11 @@ def fractional_locality(edges: pd.DataFrame, x: np.ndarray) -> float:
     return float(np.mean((x[s] * x[d] + 1.0) * 0.5))
 
 
-def _project(y, W, b, method, target, fixed, x_fixed):
+def _project(y, W, b, method, fixed, x_fixed):
     if method == "one_shot":
-        return P.one_shot_alternating(y, W, b, fixed, x_fixed, target)
+        return P.one_shot_alternating(y, W, b, fixed, x_fixed)
     if method == "alternating":
-        return P.alternating(y, W, b, fixed, x_fixed, target=target)
+        return P.alternating(y, W, b, fixed, x_fixed)
     if method == "dykstra":
         return P.dykstra(y, W, b, fixed, x_fixed)
     return P.project_exact(y, W, b, fixed, x_fixed)
@@ -62,28 +65,22 @@ def gd_relax_local(
     fixed = np.zeros(n, dtype=bool)
     target_len = params.step_mult * np.sqrt(n) / params.n_iter
     gamma: float | None = None
+    step = 0.0
 
     for t in range(params.n_iter):
         z = x.copy()
         if t == 0 and x0 is None:
             # Escape the saddle at x=0 (noise only at t=0, §3.2).
-            z[~fixed] += rng.normal(0.0, params.noise_sigma_mult / params.n_iter, (~fixed).sum())
+            z[~fixed] += rng.normal(0.0, NOISE_SIGMA_MULT / params.n_iter, (~fixed).sum())
         grad = np.bincount(sym_dst, weights=z[sym_src], minlength=n)
-        gnorm = float(np.linalg.norm(grad[~fixed]))
-        if not params.adaptive or gamma is None:
-            # Fixed step LENGTH (Fig 8): normalize every iteration so
-            # ‖γ·grad‖ = target_len; the adaptive mode instead feeds back the
-            # realized post-projection progress (§3.2).
-            gamma = target_len / max(gnorm, 1e-12)
+        gamma = params.next_gamma(gamma, float(np.linalg.norm(grad[~fixed])), step, target_len)
         y = z.copy()
         y[~fixed] = z[~fixed] + gamma * grad[~fixed]
-        x_new = _project(y, W, b, params.projection, params.projection_target, fixed, x)
+        x_new = _project(y, W, b, params.projection, fixed, x)
         step = float(np.linalg.norm(x_new - x))
-        if params.adaptive and step > 1e-12:
-            gamma *= float(np.clip(target_len / step, 0.5, 2.0))
         x = x_new
         if params.fixing and t >= params.fix_start:
-            newly = (~fixed) & (np.abs(x) >= params.fix_threshold)
+            newly = (~fixed) & (np.abs(x) >= FIX_THRESHOLD)
             x[newly] = np.sign(x[newly])
             fixed |= newly
         if params.record_history:
@@ -98,7 +95,7 @@ def gd_relax_local(
         # alternating projections to convergence on the slab faces (§3.1).
         x = P.alternating(
             y=x, W=W, b=b, fixed=fixed, x_fixed=x,
-            target="slab", tol=1e-9, max_iter=params.final_project_iters,
+            target="slab", tol=1e-9, max_iter=FINAL_PROJECT_ITERS,
         )
     return x, hist
 
@@ -112,10 +109,5 @@ def gd_bipartition_local(
 
     Returns parts in {0, 1} (part 1 ⇔ rounded to +1) and the GD history.
     """
-    from repro.core.rounding import repair_balance, round_randomized
-
     x, hist = gd_relax_local(edges, W, params)
-    rng = np.random.default_rng(params.seed + 1)
-    signs = round_randomized(x, rng)
-    signs = repair_balance(signs, x, W, params.eps)
-    return ((signs + 1) // 2).astype(np.int64), hist
+    return round_to_parts(x, W, params.eps, params.seed), hist

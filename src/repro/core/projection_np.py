@@ -212,13 +212,9 @@ def exact_d1(
     s = float(np.dot(w, x0))
     if abs(s) <= b + _TOL:
         return x0
-    sel, y_sub, w_sub, c_off = _split_zero_weights(y, w, fixed, x_fixed)
-    lam = _solve_lambda_eq(y_sub, w_sub, np.sign(s) * b - c_off)
-    if lam is None:  # b exceeds reachable sum — box clip was the answer
-        return x0
-    x = clip_box(y, fixed, x_fixed)
-    x[sel] = np.clip(y_sub - lam * w_sub, -1.0, 1.0)
-    return x
+    res = _solve_eq_d1_general(y, w, np.sign(s) * b, fixed, x_fixed)
+    # None: b exceeds the reachable sum, so the box clip was the answer.
+    return x0 if res is None else res[0]
 
 
 def _solve_eq_d1_general(
@@ -283,29 +279,21 @@ def exact_d2(
     # binary search — inner solves λ2 exactly for a given λ1, outer bisects
     # on λ1 using monotonicity of Δ(λ1) (Definition A.1; direction unknown,
     # so a sign-change bracket is searched in both directions).
-    sel, _, _, c_off1 = _split_zero_weights(y, w1, fixed, x_fixed)
-
-    def delta(lam1: float, c2: float) -> float | None:
-        """Δ(λ1) = ⟨w1, x(λ1, λ2(λ1))⟩ where λ2 enforces ⟨w2,x⟩ = c2."""
-        y_shift = y - lam1 * w1
-        res = _solve_eq_d1_general(y_shift, w2, c2, fixed, x_fixed)
+    def x_at(lam1: float, c2: float) -> np.ndarray | None:
+        """x(λ1, λ2(λ1)) where λ2 enforces ⟨w2,x⟩ = c2."""
+        res = _solve_eq_d1_general(y - lam1 * w1, w2, c2, fixed, x_fixed)
         if res is None:
             return None
         x, _ = res
         # Fixed coords must keep their original values, not shifted ones.
         if fixed is not None and fixed.any():
             x[fixed] = x_fixed[fixed]
-        return float(np.dot(w1, x))
-
-    def x_at(lam1: float, c2: float) -> np.ndarray | None:
-        y_shift = y - lam1 * w1
-        res = _solve_eq_d1_general(y_shift, w2, c2, fixed, x_fixed)
-        if res is None:
-            return None
-        x, _ = res
-        if fixed is not None and fixed.any():
-            x[fixed] = x_fixed[fixed]
         return x
+
+    def delta(lam1: float, c2: float) -> float | None:
+        """Δ(λ1) = ⟨w1, x(λ1, λ2(λ1))⟩."""
+        x = x_at(lam1, c2)
+        return None if x is None else float(np.dot(w1, x))
 
     scale = float(np.abs(y).max(initial=1.0)) + 1.0
     wmin = W[W > 0].min() if (W > 0).any() else 1.0

@@ -18,9 +18,14 @@ def round_randomized(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.where(rng.random(x.size) < (x + 1.0) * 0.5, 1.0, -1.0)
 
 
-def round_deterministic(x: np.ndarray) -> np.ndarray:
-    """Threshold rounding (sign of x; ties to +1)."""
-    return np.where(x >= 0.0, 1.0, -1.0)
+def round_to_parts(x: np.ndarray, W: np.ndarray, eps: float, seed: int) -> np.ndarray:
+    """Both engines' rounding tail: round ``x`` with the run's rounding stream
+    (seed ``seed + 1``), repair the balance, and return parts in {0, 1}
+    (part 1 ⇔ rounded to +1)."""
+    rng = np.random.default_rng(seed + 1)
+    signs = round_randomized(x, rng)
+    signs = repair_balance(signs, x, W, eps)
+    return ((signs + 1) // 2).astype(np.int64)
 
 
 def repair_balance(

@@ -6,7 +6,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.params import GDParams
-from repro.core.recursive import partition_k_local, partition_k_spark
+from repro.core.recursive import partition_k_spark
 from repro.graphs import generators as gen
 from repro.graphs.ops import vertex_table
 
@@ -45,17 +45,12 @@ def gd_assignment(
     return partition_k_spark(edges, vt, k, params, spark_levels=1)
 
 
-def gd_assignment_local(
-    edges_pdf: pd.DataFrame, n: int, k: int, mode: str, params: GDParams
-) -> np.ndarray:
-    """Pure-numpy GD partition for driver-side sweeps (Figs 8-10)."""
-    deg = np.bincount(
+def degrees(edges_pdf: pd.DataFrame, n: int) -> np.ndarray:
+    """Degree vector of a canonical pandas edge list over ids 0..n-1."""
+    return np.bincount(
         np.concatenate([edges_pdf.src.to_numpy(), edges_pdf.dst.to_numpy()]),
         minlength=n,
     ).astype(float)
-    cols = {"vertex": [np.ones(n)], "edge": [deg], "vertex-edge": [np.ones(n), deg]}[mode]
-    W = np.column_stack(cols)
-    return partition_k_local(edges_pdf, W, k, params)
 
 
 def print_table(title: str, df: pd.DataFrame) -> None:

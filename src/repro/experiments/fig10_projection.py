@@ -13,7 +13,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.local_gd import gd_bipartition_local
 from repro.core.params import GDParams
-from repro.experiments.common import print_table
+from repro.experiments.common import degrees, print_table
 from repro.graphs import generators as gen
 
 PAPER_FIG10_NOTES = (
@@ -32,19 +32,14 @@ def run_fig10(
 ) -> pd.DataFrame:
     spec = gen.lj_lite(n=n)
     pdf = gen.generate_edges(spec)
-    deg = np.bincount(
-        np.concatenate([pdf.src.to_numpy(), pdf.dst.to_numpy()]), minlength=spec.n
-    ).astype(float)
+    deg = degrees(pdf, spec.n)
     W = np.column_stack([np.ones(spec.n), deg])
     s, d = pdf.src.to_numpy(), pdf.dst.to_numpy()
 
     rows = []
     for eps in eps_values:
-        for method, target in (("exact", "slab"), ("one_shot", "plane")):
-            p = GDParams(
-                n_iter=n_iter, eps=eps, projection=method,
-                projection_target=target, seed=seed,
-            )
+        for method in ("exact", "one_shot"):
+            p = GDParams(n_iter=n_iter, eps=eps, projection=method, seed=seed)
             parts, _ = gd_bipartition_local(pdf, W, p)
             loc = float(np.mean(parts[s] == parts[d]))
             signs = 2.0 * parts - 1.0

@@ -14,7 +14,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.local_gd import gd_relax_local
 from repro.core.params import GDParams
-from repro.experiments.common import print_table
+from repro.experiments.common import degrees, print_table
 from repro.graphs import generators as gen
 
 PAPER_FIG9_NOTES = (
@@ -38,9 +38,7 @@ def run_fig9(
 ) -> pd.DataFrame:
     spec = gen.lj_lite(n=n)
     pdf = gen.generate_edges(spec)
-    deg = np.bincount(
-        np.concatenate([pdf.src.to_numpy(), pdf.dst.to_numpy()]), minlength=spec.n
-    ).astype(float)
+    deg = degrees(pdf, spec.n)
     W = np.column_stack([np.ones(spec.n), deg])
     rows = []
     for vname, flags in VARIANTS.items():

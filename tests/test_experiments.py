@@ -133,3 +133,22 @@ def test_fig11_structure(spark):
     assert list(df.n) == [300, 600]
     assert (df.wall_s > 0).all()
     assert (df.m > 0).all()
+
+
+def test_entry_point_maps_every_harness():
+    """``python -m repro.experiments`` names each harness module once, each
+    with a ``main``, and rejects unknown exhibits before starting Spark."""
+    from importlib import import_module
+    from pathlib import Path
+
+    import repro.experiments as pkg
+    from repro.experiments.__main__ import EXHIBITS, run
+
+    modules = {p.stem for p in Path(pkg.__file__).parent.glob("*.py")}
+    harnesses = modules - {"__init__", "__main__", "common"}
+    assert len(harnesses) == 9
+    assert sorted(EXHIBITS.values()) == sorted(harnesses)
+    for name in harnesses:
+        assert callable(import_module(f"repro.experiments.{name}").main)
+    with pytest.raises(SystemExit):
+        run(["fig99"])

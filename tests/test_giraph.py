@@ -234,7 +234,8 @@ def test_hc_loads_and_cost_override(graph):
     assert len(hc) == 5
     base = default_cost_model(8.0)
     assert apps.app_cost_model("HC", base).c_vertex == 4.0 * base.c_vertex
-    assert apps.app_cost_model("PR", base) == base
+    for app in ("PR", "MF"):
+        assert apps.app_cost_model(app, base) == base
 
 
 def test_app_registry_complete():

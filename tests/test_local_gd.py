@@ -91,11 +91,10 @@ def test_noise_escapes_saddle(community_graph):
     """Without noise, x=0 is a stationary point of the projected dynamics
     (plane projection of A·0 is 0); with noise GD makes progress."""
     edges, W = community_graph
-    p_no = GDParams(n_iter=10, noise_sigma_mult=0.0, seed=0, final_project=False)
-    x_no, _ = gd_relax_local(edges, W, p_no)
+    p = GDParams(n_iter=10, seed=0, final_project=False)
+    x_no, _ = gd_relax_local(edges, W, p, x0=np.zeros(W.shape[0]))
     assert np.abs(x_no).max() < 1e-9
-    p_yes = GDParams(n_iter=10, noise_sigma_mult=1.0, seed=0, final_project=False)
-    x_yes, _ = gd_relax_local(edges, W, p_yes)
+    x_yes, _ = gd_relax_local(edges, W, p)
     assert np.abs(x_yes).max() > 0.1
 
 
@@ -166,6 +165,27 @@ def test_invalid_projection_param():
         GDParams(projection="magic")
 
 
-def test_invalid_target_param():
-    with pytest.raises(ValueError):
-        GDParams(projection_target="cube")
+@pytest.mark.parametrize(
+    "name",
+    ["noise_sigma_mult", "projection_target", "fix_threshold", "fix_start_frac", "final_project_iters"],
+)
+def test_retired_field_rejected(name):
+    """Algorithm 1's constants are not options (``repro.core.params``)."""
+    with pytest.raises(TypeError):
+        GDParams(**{name: 1})
+
+
+@pytest.mark.parametrize(
+    "adaptive, gamma, prev_step, want",
+    [
+        (False, 5.0, 1.0, 2.0),  # fixed step length: renormalize every time
+        (True, None, 1.0, 2.0),  # first adaptive step: renormalize
+        (True, 5.0, 8.0, 5.0 * 0.5),  # too long a step: clipped to ×0.5
+        (True, 5.0, 0.25, 5.0 * 2.0),  # too short a step: clipped to ×2
+        (True, 5.0, 2.0, 5.0 * 1.5),  # within the clip: ×target/prev
+        (True, 5.0, 0.0, 5.0),  # no progress: γ kept
+    ],
+)
+def test_next_gamma(adaptive, gamma, prev_step, want):
+    p = GDParams(adaptive=adaptive)
+    assert p.next_gamma(gamma, gnorm=1.5, prev_step=prev_step, target_len=3.0) == pytest.approx(want)

@@ -27,10 +27,6 @@ def test_round_randomized_preserves_expected_objective():
     assert np.allclose(samples.mean(axis=0), x, atol=0.03)
 
 
-def test_round_deterministic():
-    assert np.allclose(R.round_deterministic(np.array([-0.2, 0.0, 0.3])), [-1, 1, 1])
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_repair_reaches_balance_unit_weights(seed):
     rng = np.random.default_rng(seed)

@@ -48,9 +48,7 @@ def test_spark_matches_local_with_fixing_and_final(graph):
     spec, pdf, sdf, vt = graph
     rng = np.random.default_rng(4)
     x0 = rng.uniform(-0.05, 0.05, spec.n)
-    params = GDParams(
-        n_iter=8, final_project=True, fixing=True, fix_start_frac=0.5, seed=0
-    )
+    params = GDParams(n_iter=8, final_project=True, fixing=True, seed=0)
     W = _W_from_vt(vt)
     x_local, _ = gd_relax_local(pdf, W, params, x0=x0)
     x0_df = pd.DataFrame({"id": np.arange(spec.n), "x": x0})
